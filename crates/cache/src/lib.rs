@@ -1,20 +1,19 @@
 //! A zero-dependency content-addressed on-disk artifact store.
 //!
-//! Project-scale migration lives or dies on not redoing work: one edited
-//! function must not force re-analysis of the other ten thousand. This
-//! crate supplies the storage half of that contract — a flat directory of
-//! fingerprint-named payload files — and stays deliberately generic: keys
-//! are [`Fingerprint`]s, payloads are opaque strings. What goes *into* a
-//! fingerprint (function MIR, config knobs) and how payloads are encoded
-//! (the `atomig_core::json` wire format) is decided by the analysis
-//! layers above, which keeps this crate dependency-free in both
-//! directions.
+//! Project-scale migration lives or dies on not redoing work: re-running
+//! `atomig batch` after a one-line edit must not re-port the modules that
+//! did not change. This crate supplies the storage half of that contract
+//! — a flat directory of fingerprint-named payload files — and stays
+//! deliberately generic: keys are [`Fingerprint`]s, payloads are opaque
+//! strings. What goes *into* a fingerprint (source bytes, config knobs)
+//! and how payloads are encoded is decided by the CLI layer above, which
+//! keeps this crate dependency-free in both directions.
 //!
 //! Layout on disk:
 //!
 //! ```text
 //! $ATOMIG_CACHE_DIR/            (default .atomig-cache/)
-//!   v1/                         one subdirectory per FORMAT_VERSION
+//!   v2/                         one subdirectory per FORMAT_VERSION
 //!     8f3a…c2.json              one payload per fingerprint
 //! ```
 //!
@@ -23,17 +22,16 @@
 //! versioned subdirectory, counting the entries it removed. Writes are
 //! temp-file-plus-rename so concurrent workers (or processes) never
 //! observe a torn payload; two writers racing on one fingerprint write
-//! identical bytes by construction, so either rename winning is fine.
+//! equally valid payloads, so either rename winning is fine.
 
-use std::fmt;
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// On-disk format version. Bump when the artifact schema or the
+/// On-disk format version. Bump when the entry schema or the
 /// fingerprint recipe changes incompatibly; stale `v<old>/` trees are
 /// evicted on the next [`CacheStore::open`].
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// The environment variable overriding the default cache directory.
 pub const CACHE_DIR_VAR: &str = "ATOMIG_CACHE_DIR";
@@ -41,8 +39,8 @@ pub const CACHE_DIR_VAR: &str = "ATOMIG_CACHE_DIR";
 /// The default cache directory, relative to the working directory.
 pub const DEFAULT_DIR: &str = ".atomig-cache";
 
-/// A stable 64-bit content fingerprint (FNV-1a over length-delimited
-/// parts, so `["ab", ""]` and `["a", "b"]` hash differently).
+/// A stable 64-bit content fingerprint (FNV-1a over delimited parts, so
+/// `["ab", ""]` and `["a", "b"]` hash differently).
 ///
 /// # Examples
 ///
@@ -51,6 +49,7 @@ pub const DEFAULT_DIR: &str = ".atomig-cache";
 /// let a = Fingerprint::of(&["seed", "fn body"]);
 /// assert_eq!(a, Fingerprint::of(&["seed", "fn body"]));
 /// assert_ne!(a, Fingerprint::of(&["seed", "fn bodY"]));
+/// assert_ne!(a, Fingerprint::of_seeded(7, &["seed", "fn body"]));
 /// assert_eq!(a.hex().len(), 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,7 +61,15 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 impl Fingerprint {
     /// Fingerprints a sequence of parts. Part boundaries are significant.
     pub fn of(parts: &[&str]) -> Fingerprint {
-        let mut h = FNV_OFFSET;
+        Fingerprint::of_seeded(FNV_OFFSET, parts)
+    }
+
+    /// [`Fingerprint::of`] from another starting state: a second digest
+    /// of the same parts that a key collision does not carry over to, for
+    /// checking that an entry found under a key was written for the same
+    /// input.
+    pub fn of_seeded(seed: u64, parts: &[&str]) -> Fingerprint {
+        let mut h = seed;
         for part in parts {
             for &b in part.as_bytes() {
                 h ^= u64::from(b);
@@ -82,12 +89,6 @@ impl Fingerprint {
     }
 }
 
-impl fmt::Display for Fingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:016x}", self.0)
-    }
-}
-
 /// The directory a store would open with no explicit override:
 /// `$ATOMIG_CACHE_DIR` when set and non-empty, else [`DEFAULT_DIR`].
 pub fn default_dir() -> String {
@@ -97,31 +98,14 @@ pub fn default_dir() -> String {
         .unwrap_or_else(|| DEFAULT_DIR.to_string())
 }
 
-/// A point-in-time snapshot of a store's lifetime counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups that found a payload.
-    pub hits: usize,
-    /// Lookups that found nothing.
-    pub misses: usize,
-    /// Payloads written.
-    pub stores: usize,
-    /// Stale-version entries deleted when the store was opened.
-    pub evictions: usize,
-}
-
 /// A content-addressed store rooted at one directory.
 ///
-/// All operations are `&self` and thread-safe: counters are atomics and
-/// writes go through temp-file-plus-rename, so a `WorkerPool` can share
-/// one store across workers without coordination.
+/// All operations are `&self` and thread-safe: writes go through
+/// temp-file-plus-rename, so a `WorkerPool` can share one store across
+/// workers without coordination.
 #[derive(Debug)]
 pub struct CacheStore {
-    root: PathBuf,
     dir: PathBuf,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    stores: AtomicUsize,
     evictions: usize,
     tmp_seq: AtomicUsize,
 }
@@ -161,19 +145,10 @@ impl CacheStore {
             }
         }
         Ok(CacheStore {
-            root,
             dir: versioned,
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            stores: AtomicUsize::new(0),
             evictions,
             tmp_seq: AtomicUsize::new(0),
         })
-    }
-
-    /// The store's root directory (the one `$ATOMIG_CACHE_DIR` names).
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     fn path_of(&self, key: Fingerprint) -> PathBuf {
@@ -182,46 +157,29 @@ impl CacheStore {
 
     /// The payload stored under `key`, if any.
     pub fn get(&self, key: Fingerprint) -> Option<String> {
-        match fs::read_to_string(self.path_of(key)) {
-            Ok(payload) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(payload)
-            }
-            Err(_) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        fs::read_to_string(self.path_of(key)).ok()
     }
 
-    /// Stores `payload` under `key` (atomic rename; last writer wins).
-    /// I/O failure is silent by design — a cache that cannot persist
-    /// degrades to a miss on the next run, it must not fail the analysis.
-    pub fn put(&self, key: Fingerprint, payload: &str) {
+    /// Stores `payload` under `key` (atomic rename; last writer wins) and
+    /// says whether it landed. I/O failure is not an error by design — a
+    /// cache that cannot persist degrades to a miss on the next run, it
+    /// must not fail the analysis.
+    pub fn put(&self, key: Fingerprint, payload: &str) -> bool {
         let seq = self.tmp_seq.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .dir
             .join(format!("{}.tmp.{}.{seq}", key.hex(), std::process::id()));
-        if fs::write(&tmp, payload).is_ok() && fs::rename(&tmp, self.path_of(key)).is_ok() {
-            self.stores.fetch_add(1, Ordering::Relaxed);
-        } else {
+        let stored =
+            fs::write(&tmp, payload).is_ok() && fs::rename(&tmp, self.path_of(key)).is_ok();
+        if !stored {
             let _ = fs::remove_file(&tmp);
         }
+        stored
     }
 
     /// Entries evicted from stale format versions when this store opened.
     pub fn evictions(&self) -> usize {
         self.evictions
-    }
-
-    /// A snapshot of the lifetime counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            stores: self.stores.load(Ordering::Relaxed),
-            evictions: self.evictions,
-        }
     }
 }
 
@@ -243,19 +201,18 @@ mod tests {
         assert_ne!(a, Fingerprint::of(&["cfgbody"]));
         assert_ne!(a, Fingerprint::of(&["cfg", "body", ""]));
         assert_ne!(Fingerprint::of(&["ab", ""]), Fingerprint::of(&["a", "b"]));
-        assert_eq!(a.hex(), format!("{a}"));
+        assert_eq!(a.hex(), format!("{:016x}", a.0));
     }
 
     #[test]
-    fn round_trips_payloads_and_counts() {
+    fn round_trips_payloads() {
         let dir = scratch("roundtrip");
         let store = CacheStore::open(Some(&dir.to_string_lossy())).unwrap();
         let key = Fingerprint::of(&["k"]);
         assert_eq!(store.get(key), None);
-        store.put(key, "{\"v\":1}");
+        assert!(store.put(key, "{\"v\":1}"));
         assert_eq!(store.get(key).as_deref(), Some("{\"v\":1}"));
-        let s = store.stats();
-        assert_eq!((s.hits, s.misses, s.stores, s.evictions), (1, 1, 1, 0));
+        assert_eq!(store.evictions(), 0);
 
         // A second store over the same directory sees the entry.
         let reopened = CacheStore::open(Some(&dir.to_string_lossy())).unwrap();
@@ -279,7 +236,7 @@ mod tests {
     #[test]
     fn stale_format_versions_are_evicted_on_open() {
         let dir = scratch("evict");
-        let stale = dir.join("v0");
+        let stale = dir.join("v1");
         fs::create_dir_all(&stale).unwrap();
         fs::write(stale.join("dead.json"), "{}").unwrap();
         fs::write(stale.join("beef.json"), "{}").unwrap();
@@ -308,14 +265,13 @@ mod tests {
         let dir = scratch("parallel");
         let store = CacheStore::open(Some(&dir.to_string_lossy())).unwrap();
         std::thread::scope(|s| {
-            for t in 0..4 {
+            for _ in 0..4 {
                 let store = &store;
                 s.spawn(move || {
                     for i in 0..32 {
                         let key = Fingerprint::of(&["shared", &(i % 8).to_string()]);
                         store.put(key, &format!("payload-{}", i % 8));
                         let _ = store.get(key);
-                        let _ = t;
                     }
                 });
             }

@@ -13,6 +13,8 @@
 //! $ atomig metrics run.jsonl        # validate an --emit-metrics stream
 //! ```
 
+pub mod module_cache;
+
 use atomig_core::trace::{
     self, cache_event, checker_event, decision_event, finding_event, meta_event, phase_event,
     solver_event, summary_event, to_jsonl,
@@ -22,6 +24,7 @@ use atomig_core::{
     Pipeline, Stage,
 };
 use atomig_wmm::{Checker, CostModel, ModelKind};
+use module_cache::{EntryKey, ModuleSummary};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,9 +51,6 @@ pub enum Command {
         /// Worker threads; `None` means host parallelism. Output is
         /// byte-identical for any value.
         jobs: Option<usize>,
-        /// Artifact-cache directory; `None` disables caching for this
-        /// single-file run (`atomig batch` caches by default instead).
-        cache_dir: Option<String>,
     },
     /// `atomig check <file> [--model m] [--ported] [--emit-metrics out]
     /// [--jobs n]`
@@ -90,9 +90,6 @@ pub enum Command {
         /// Worker threads; `None` means host parallelism. Output is
         /// byte-identical for any value.
         jobs: Option<usize>,
-        /// Artifact-cache directory; `None` disables caching for this
-        /// single-file run (`atomig batch` caches by default instead).
-        cache_dir: Option<String>,
     },
     /// `atomig batch <manifest|dir> [--stage s] [--alias a] [--jobs n]
     /// [--emit-metrics out] [--cache-dir d | --no-cache]`
@@ -109,10 +106,10 @@ pub enum Command {
         jobs: Option<usize>,
         /// Write the combined JSONL metrics stream to this path.
         emit_metrics: Option<String>,
-        /// Artifact-cache directory override (default:
+        /// Module-cache directory override (default:
         /// `$ATOMIG_CACHE_DIR`, then `.atomig-cache/`).
         cache_dir: Option<String>,
-        /// Run without the artifact cache.
+        /// Run without the module cache.
         no_cache: bool,
     },
     /// `atomig explain <file[:line]> [--alias a]`
@@ -142,14 +139,12 @@ USAGE:
                           [--alias type-based|points-to]
                           [--naive | --lasagne] [--trace]
                           [--emit-metrics <out.jsonl>] [--jobs <N>]
-                          [--cache-dir <dir>]
     atomig check <file.c> [--model sc|tso|wmm|arm] [--ported]
                           [--emit-metrics <out.jsonl>] [--jobs <N>]
     atomig run   <file.c> [--ported]
     atomig lint  <file.c> [--ported] [--alias type-based|points-to]
                           [--deny race-candidate|fence-placement]
                           [--emit-metrics <out.jsonl>] [--jobs <N>]
-                          [--cache-dir <dir>]
     atomig batch <dir|manifest|file.c>
                           [--stage original|expl|spin|full]
                           [--alias type-based|points-to] [--jobs <N>]
@@ -185,13 +180,15 @@ a fixed-step counter so the output is also byte-identical across *runs*
 
 Incremental analysis: `batch` ports every `.c` file under a directory
 (or listed in a manifest, one path per line, `#` comments) and prints
-one combined report. Per-function detection artifacts are cached in a
+one combined report. Each module's report line is cached in a
 content-addressed store — `--cache-dir <dir>`, else $ATOMIG_CACHE_DIR,
-else `.atomig-cache/` — so a warm rerun re-analyzes only functions whose
-body or configuration changed; `--no-cache` disables the store. Warm
-output is byte-identical to cold: hit/miss/eviction counters surface
-only via `--trace`, the `cache` JSONL event, and `atomig metrics`.
-`port` and `lint` join the cache when given `--cache-dir` explicitly.";
+else `.atomig-cache/` — keyed on its name, its source bytes and the
+decision-relevant flags, so a warm rerun compiles and ports only the
+modules that changed; `--no-cache` disables the store. Warm output is
+byte-identical to cold (a hit prints the stored porting time): the
+cache's hits, misses, time and bytes surface only in the `cache` JSONL
+event and the `atomig metrics` tally. `port`, `lint` and `check` never
+use the cache.";
 
 /// Parses a command line (without the program name).
 ///
@@ -216,7 +213,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut trace = false;
             let mut emit_metrics = None;
             let mut jobs = None;
-            let mut cache_dir = None;
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--report" => report_only = true,
@@ -239,10 +235,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         let v = it.next().ok_or("--jobs needs a value")?;
                         jobs = Some(parse_jobs(v)?);
                     }
-                    "--cache-dir" => {
-                        let v = it.next().ok_or("--cache-dir needs a directory")?;
-                        cache_dir = Some(v.to_string());
-                    }
                     f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
                     other => return Err(format!("unknown argument `{other}`")),
                 }
@@ -260,7 +252,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 trace,
                 emit_metrics,
                 jobs,
-                cache_dir,
             })
         }
         "check" => {
@@ -318,7 +309,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
             let mut deny = Vec::new();
             let mut emit_metrics = None;
             let mut jobs = None;
-            let mut cache_dir = None;
             while let Some(a) = it.next() {
                 match a.as_str() {
                     "--ported" => ported = true,
@@ -346,10 +336,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                         let v = it.next().ok_or("--jobs needs a value")?;
                         jobs = Some(parse_jobs(v)?);
                     }
-                    "--cache-dir" => {
-                        let v = it.next().ok_or("--cache-dir needs a directory")?;
-                        cache_dir = Some(v.to_string());
-                    }
                     f if !f.starts_with('-') && file.is_none() => file = Some(f.to_string()),
                     other => return Err(format!("unknown argument `{other}`")),
                 }
@@ -361,7 +347,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, String> {
                 deny,
                 emit_metrics,
                 jobs,
-                cache_dir,
             })
         }
         "batch" => {
@@ -522,21 +507,24 @@ fn config_for(stage: Stage) -> AtomigConfig {
     }
 }
 
-/// With `ATOMIG_DETERMINISTIC` set (to anything but `""`/`0`), a
+/// Whether `ATOMIG_DETERMINISTIC` is set (to anything but `""`/`0`).
+fn deterministic() -> bool {
+    std::env::var("ATOMIG_DETERMINISTIC").is_ok_and(|v| !v.is_empty() && v != "0")
+}
+
+/// A fresh clock for one run. `fixed` (see [`deterministic`]) gives a
 /// fixed-step counter clock: every read advances one millisecond. Phase
 /// timings then depend only on the number of clock reads, making metrics
 /// streams byte-comparable across runs (and job counts) in CI.
-fn deterministic_clock() -> Option<trace::Clock> {
-    match std::env::var("ATOMIG_DETERMINISTIC") {
-        Ok(v) if !v.is_empty() && v != "0" => {
-            let ticks = std::sync::atomic::AtomicU64::new(0);
-            Some(trace::Clock::from_fn(move || {
-                let t = ticks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                std::time::Duration::from_millis(t)
-            }))
-        }
-        _ => None,
+fn run_clock(fixed: bool) -> trace::Clock {
+    if !fixed {
+        return trace::Clock::system();
     }
+    let ticks = std::sync::atomic::AtomicU64::new(0);
+    trace::Clock::from_fn(move || {
+        let t = ticks.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        std::time::Duration::from_millis(t)
+    })
 }
 
 fn write_metrics(path: &str, events: &[atomig_core::json::Value]) -> Result<String, String> {
@@ -555,19 +543,6 @@ fn stage_name(stage: Stage) -> &'static str {
         Stage::Spin => "spin",
         Stage::Full => "full",
     }
-}
-
-fn open_cache(dir: Option<&str>) -> Result<std::sync::Arc<atomig_cache::CacheStore>, String> {
-    Ok(std::sync::Arc::new(atomig_cache::CacheStore::open(dir)?))
-}
-
-/// The one-line trace rendering of cache counters. Deliberately absent
-/// from reports: warm output must stay byte-identical to cold.
-fn cache_line(c: &CacheMetrics) -> String {
-    format!(
-        "cache: {} hit(s), {} miss(es), {} evicted",
-        c.hits, c.misses, c.evictions
-    )
 }
 
 /// The module name of a source path: final component without `.c`.
@@ -662,15 +637,24 @@ pub fn discover_batch_inputs(path: &str) -> Result<Vec<BatchInput>, String> {
     Ok(inputs)
 }
 
+/// Compiles, ports and verifies one module of a batch.
+fn port_batch_module(inp: &BatchInput, cfg: AtomigConfig) -> Result<ModuleSummary, String> {
+    let mut m = atomig_frontc::compile(&inp.source, &inp.name)?;
+    let report = Pipeline::new(cfg).port_module(&mut m);
+    atomig_mir::verify_module(&m).map_err(|e| e.to_string())?;
+    Ok(ModuleSummary::from(&report))
+}
+
 /// Executes `atomig batch` over already-loaded inputs, returning the
 /// combined report (discovery is separate for testability).
 ///
-/// Modules fan out across the worker pool; each worker runs a
-/// single-threaded pipeline with its own deterministic clock, so
-/// per-module output is independent of scheduling and the sequential
-/// merge below is order-fixed. Cache counters stay out of the report —
-/// they surface via the `cache` JSONL event only — so a warm rerun is
-/// byte-identical to the cold one.
+/// Modules fan out across the worker pool; each worker consults the
+/// module cache and, on a miss, runs a single-threaded pipeline with a
+/// clock of its own, so per-module output is independent of
+/// scheduling and the sequential merge below is order-fixed. A hit
+/// prints the stored porting time and the cache counters stay out of the
+/// report — they surface via the `cache` JSONL event only — so a warm
+/// rerun is byte-identical to the cold one and to `--no-cache`.
 ///
 /// # Errors
 ///
@@ -695,32 +679,36 @@ pub fn execute_batch(cmd: &Command, inputs: &[BatchInput]) -> Result<String, Str
     let store = if *no_cache {
         None
     } else {
-        Some(open_cache(cache_dir.as_deref())?)
+        Some(atomig_cache::CacheStore::open(cache_dir.as_deref())?)
     };
     let jobs = match jobs {
         Some(n) => *n,
         None => atomig_par::jobs_from_env("ATOMIG_JOBS")?,
     };
+    // Read once, so every module's clock and cache key agree.
+    let fixed = deterministic();
     let pool = atomig_par::WorkerPool::new(jobs);
     let results = pool.map(inputs, |_, inp| {
         let mut cfg = config_for(*stage);
         cfg.alias_mode = *alias;
         cfg.jobs = 1;
-        cfg.cache = store.clone();
-        if let Some(c) = deterministic_clock() {
-            cfg.clock = c;
-        }
-        let mut m = atomig_frontc::compile(&inp.source, &inp.name)?;
-        let report = Pipeline::new(cfg).port_module(&mut m);
-        atomig_mir::verify_module(&m).map_err(|e| e.to_string())?;
-        Ok::<_, String>(report)
+        cfg.clock = run_clock(fixed);
+        let Some(store) = &store else {
+            return port_batch_module(inp, cfg).map(|s| (s, CacheMetrics::default()));
+        };
+        // The cache is timed on a clock of its own, so it never shifts
+        // the pipeline's phase timings.
+        let key = EntryKey::new(&cfg.config_seed(), fixed, &inp.name, &inp.source);
+        module_cache::lookup_or_port(store, &key, &run_clock(fixed), || {
+            port_batch_module(inp, cfg)
+        })
     });
 
     let mut failures = Vec::new();
-    let mut reports = Vec::new();
+    let mut modules = Vec::new();
     for (inp, res) in inputs.iter().zip(results) {
         match res {
-            Ok(r) => reports.push((inp.name.as_str(), r)),
+            Ok(r) => modules.push((inp.name.as_str(), r)),
             Err(e) => failures.push(format!("  {}: {e}", inp.name)),
         }
     }
@@ -735,65 +723,63 @@ pub fn execute_batch(cmd: &Command, inputs: &[BatchInput]) -> Result<String, Str
 
     let mut out = format!(
         "batch report: {} module(s) from `{path}` (stage {}, {} alias, cache {})\n",
-        reports.len(),
+        modules.len(),
         stage_name(*stage),
         alias.name(),
         if store.is_some() { "on" } else { "off" },
     );
     let (mut spins, mut opts, mut sc, mut fences) = (0usize, 0usize, 0usize, 0usize);
     let mut total = std::time::Duration::ZERO;
-    let mut cache: Option<CacheMetrics> = None;
-    for (mod_name, r) in &reports {
+    let mut cache = CacheMetrics {
+        evictions: store.as_ref().map_or(0, |s| s.evictions()),
+        ..CacheMetrics::default()
+    };
+    for (mod_name, (r, c)) in &modules {
         out.push_str(&format!(
             "  {mod_name:<24} {:>3} spinloop(s) {:>3} optimistic {:>4} sc-upgrade(s) \
              {:>4} fence(s) {:>12?}\n",
-            r.spinloops,
-            r.optiloops,
-            r.implicit_barriers_added,
-            r.explicit_barriers_added,
-            r.porting_time,
+            r.spinloops, r.optiloops, r.sc_upgrades, r.fences, r.porting_time,
         ));
         spins += r.spinloops;
         opts += r.optiloops;
-        sc += r.implicit_barriers_added;
-        fences += r.explicit_barriers_added;
+        sc += r.sc_upgrades;
+        fences += r.fences;
         total += r.porting_time;
-        if let Some(c) = &r.metrics.cache {
-            // Hits and misses are per-module and sum; evictions are a
-            // store-wide count every module observed, so take the max
-            // instead of overcounting.
-            let agg = cache.get_or_insert_with(CacheMetrics::default);
-            agg.hits += c.hits;
-            agg.misses += c.misses;
-            agg.evictions = agg.evictions.max(c.evictions);
-        }
+        cache.hits += c.hits;
+        cache.misses += c.misses;
+        cache.nanos += c.nanos;
+        cache.bytes += c.bytes;
     }
     out.push_str(&format!(
         "totals: {spins} spinloop(s), {opts} optimistic loop(s), \
          {sc} sc-upgrade(s), {fences} fence(s), {total:?} porting"
     ));
     if let Some(p) = emit_metrics {
+        // Phases are the work this run did: only ported modules (no
+        // cache hit) appear, and the summary total is their sum.
         let mut events = vec![meta_event("batch", path, Some(alias.name()))];
-        for (mod_name, r) in &reports {
+        let mut ported = std::time::Duration::ZERO;
+        for (mod_name, (r, _)) in modules.iter().filter(|(_, (_, c))| c.hits == 0) {
+            ported += r.porting_time;
             events.push(phase_event(&PhaseStat {
                 name: format!("port:{mod_name}"),
                 duration: r.porting_time,
-                items: r.implicit_barriers_added + r.explicit_barriers_added,
+                items: r.sc_upgrades + r.fences,
             }));
         }
-        if let Some(c) = &cache {
-            events.push(cache_event(c));
+        if store.is_some() {
+            events.push(cache_event(&cache));
         }
         events.push(summary_event(
-            total,
+            ported,
             vec![
-                ("modules", reports.len().into()),
+                ("modules", modules.len().into()),
                 ("spinloops", spins.into()),
                 ("optiloops", opts.into()),
                 ("sc_upgraded", sc.into()),
                 ("fences_inserted", fences.into()),
-                ("cache_hits", cache.map_or(0, |c| c.hits).into()),
-                ("cache_misses", cache.map_or(0, |c| c.misses).into()),
+                ("cache_hits", cache.hits.into()),
+                ("cache_misses", cache.misses.into()),
             ],
         ));
         out.push('\n');
@@ -820,14 +806,12 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             trace,
             emit_metrics,
             jobs,
-            cache_dir,
             ..
         } => {
             let mut module = atomig_frontc::compile(source, name)?;
-            if (*naive || *lasagne) && (*trace || emit_metrics.is_some() || cache_dir.is_some()) {
+            if (*naive || *lasagne) && (*trace || emit_metrics.is_some()) {
                 return Err(
-                    "--trace/--emit-metrics/--cache-dir need the AtoMig pipeline \
-                     (drop --naive/--lasagne)"
+                    "--trace/--emit-metrics need the AtoMig pipeline (drop --naive/--lasagne)"
                         .into(),
                 );
             }
@@ -850,12 +834,7 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                 if let Some(j) = jobs {
                     cfg.jobs = *j;
                 }
-                if let Some(c) = deterministic_clock() {
-                    cfg.clock = c;
-                }
-                if let Some(d) = cache_dir {
-                    cfg.cache = Some(open_cache(Some(d))?);
-                }
+                cfg.clock = run_clock(deterministic());
                 let report = Pipeline::new(cfg).port_module(&mut module);
                 let s = format!("{report}");
                 pipeline_report = Some(report);
@@ -871,10 +850,6 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                 if *trace {
                     out.push_str("\n\n");
                     out.push_str(&report.ledger.render_tree(name));
-                    if let Some(c) = &report.metrics.cache {
-                        out.push('\n');
-                        out.push_str(&cache_line(c));
-                    }
                 }
                 if let Some(path) = emit_metrics {
                     let mut events = vec![meta_event("port", name, Some(alias.name()))];
@@ -883,9 +858,6 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                     }
                     for p in &report.metrics.phases {
                         events.push(phase_event(p));
-                    }
-                    if let Some(c) = &report.metrics.cache {
-                        events.push(cache_event(c));
                     }
                     for d in report.ledger.decisions() {
                         events.push(decision_event(d));
@@ -912,7 +884,7 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             ..
         } => {
             let mut module = atomig_frontc::compile(source, name)?;
-            let clock = deterministic_clock().unwrap_or_else(trace::Clock::system);
+            let clock = run_clock(deterministic());
             let mut port_report = None;
             if *ported {
                 let mut cfg = AtomigConfig::full();
@@ -984,7 +956,6 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             deny,
             emit_metrics,
             jobs,
-            cache_dir,
             ..
         } => {
             let mut module = atomig_frontc::compile(source, name)?;
@@ -993,12 +964,7 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             if let Some(j) = jobs {
                 cfg.jobs = *j;
             }
-            if let Some(c) = deterministic_clock() {
-                cfg.clock = c;
-            }
-            if let Some(d) = cache_dir {
-                cfg.cache = Some(open_cache(Some(d))?);
-            }
+            cfg.clock = run_clock(deterministic());
             if *ported {
                 Pipeline::new(cfg.clone()).port_module(&mut module);
             }
@@ -1011,9 +977,6 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
                 }
                 for p in &report.metrics.phases {
                     events.push(phase_event(p));
-                }
-                if let Some(c) = &report.metrics.cache {
-                    events.push(cache_event(c));
                 }
                 for l in &report.lints {
                     events.push(finding_event(l));
@@ -1112,8 +1075,8 @@ pub fn execute(cmd: &Command, source: &str, name: &str) -> Result<String, String
             );
             if tally.caches > 0 {
                 out.push_str(&format!(
-                    "\ncache: {} hit(s), {} miss(es)",
-                    tally.cache_hits, tally.cache_misses
+                    "\ncache: {} hit(s), {} miss(es), {} ns, {} byte(s)",
+                    tally.cache_hits, tally.cache_misses, tally.cache_nanos, tally.cache_bytes
                 ));
             }
             Ok(out)
@@ -1189,7 +1152,6 @@ mod tests {
                 trace: false,
                 emit_metrics: None,
                 jobs: None,
-                cache_dir: None,
             }
         );
         assert_eq!(
@@ -1207,7 +1169,6 @@ mod tests {
                 trace: true,
                 emit_metrics: Some("m.jsonl".into()),
                 jobs: None,
-                cache_dir: None,
             }
         );
         assert_eq!(
@@ -1302,7 +1263,6 @@ mod tests {
                 deny: vec![LintRule::RaceCandidate],
                 emit_metrics: None,
                 jobs: None,
-                cache_dir: None,
             }
         );
         assert_eq!(
@@ -1314,7 +1274,6 @@ mod tests {
                 deny: vec![LintRule::RaceCandidate],
                 emit_metrics: None,
                 jobs: None,
-                cache_dir: None,
             }
         );
         assert!(parse_args(&args("lint")).is_err());
@@ -1424,7 +1383,6 @@ mod tests {
                 trace: false,
                 emit_metrics: None,
                 jobs: Some(4),
-                cache_dir: None,
             }
         );
         match parse_args(&args("check a.c --jobs 2")).unwrap() {
@@ -1602,22 +1560,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_dir_flag_round_trips_on_port_and_lint() {
-        match parse_args(&args("port a.c --cache-dir .cache")).unwrap() {
-            Command::Port { cache_dir, .. } => assert_eq!(cache_dir.as_deref(), Some(".cache")),
-            other => panic!("{other:?}"),
+    fn only_batch_takes_cache_flags() {
+        for cmd in ["port", "lint", "check"] {
+            let err = parse_args(&args(&format!("{cmd} a.c --cache-dir c"))).unwrap_err();
+            assert!(err.contains("--cache-dir"), "{cmd}: {err}");
         }
-        match parse_args(&args("lint a.c --cache-dir .cache")).unwrap() {
-            Command::Lint { cache_dir, .. } => assert_eq!(cache_dir.as_deref(), Some(".cache")),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse_args(&args("port a.c --cache-dir")).is_err());
-        // `check` has no detection phase to cache.
-        assert!(parse_args(&args("check a.c --cache-dir c")).is_err());
-        // Baselines skip the pipeline entirely, so a cache is an error.
-        let cmd = parse_args(&args("port mp.c --naive --cache-dir c")).unwrap();
-        let err = execute(&cmd, MP, "mp").unwrap_err();
-        assert!(err.contains("AtoMig pipeline"), "{err}");
+        assert!(parse_args(&args("batch d --cache-dir")).is_err());
     }
 
     #[test]
@@ -1660,72 +1608,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_runs_cold_then_warm_with_identical_reports() {
-        let cache = tmp_dir("batch-cache");
-        let cmd = Command::Batch {
-            path: "mem".into(),
-            stage: Stage::Full,
-            alias: AliasMode::TypeBased,
-            jobs: Some(2),
-            emit_metrics: None,
-            cache_dir: Some(cache.clone()),
-            no_cache: false,
-        };
-        let inputs = vec![
-            BatchInput {
-                name: "mp".into(),
-                source: MP.into(),
-            },
-            BatchInput {
-                name: "seqlock_alias".into(),
-                source: SEQLOCK.into(),
-            },
-        ];
-        std::env::set_var("ATOMIG_DETERMINISTIC", "1");
-        let cold = execute_batch(&cmd, &inputs).unwrap();
-        let warm = execute_batch(&cmd, &inputs).unwrap();
-        std::env::remove_var("ATOMIG_DETERMINISTIC");
-        assert_eq!(cold, warm, "warm batch output must be byte-identical");
-        assert!(cold.contains("batch report: 2 module(s)"), "{cold}");
-        assert!(cold.contains("totals:"), "{cold}");
-        assert!(!cold.contains("cache:"), "counters must stay out: {cold}");
-
-        // The metrics stream is where the counters live: warm = all hits.
-        let p = tmp("batch-metrics");
-        let with_metrics = Command::Batch {
-            path: "mem".into(),
-            stage: Stage::Full,
-            alias: AliasMode::TypeBased,
-            jobs: Some(2),
-            emit_metrics: Some(p.clone()),
-            cache_dir: Some(cache.clone()),
-            no_cache: false,
-        };
-        std::env::set_var("ATOMIG_DETERMINISTIC", "1");
-        execute_batch(&with_metrics, &inputs).unwrap();
-        std::env::remove_var("ATOMIG_DETERMINISTIC");
-        let text = std::fs::read_to_string(&p).unwrap();
-        std::fs::remove_file(&p).ok();
-        std::fs::remove_dir_all(&cache).ok();
-        let tally = atomig_core::validate_metrics_jsonl(&text).unwrap();
-        assert_eq!(tally.caches, 1, "{text}");
-        assert!(tally.cache_hits > 0 && tally.cache_misses == 0, "{text}");
-        assert!(tally.phase_names.iter().any(|n| n == "port:mp"), "{text}");
-        // The metrics subcommand surfaces the tallied counters.
-        let out = execute(&parse_args(&args("metrics b.jsonl")).unwrap(), &text, "b").unwrap();
-        assert!(out.contains("cache:") && out.contains("hit(s)"), "{out}");
-    }
-
-    #[test]
     fn batch_rejects_empty_input_sets_and_aggregates_failures() {
+        let cache = tmp_dir("batch-failures");
         let cmd = Command::Batch {
             path: "empty".into(),
             stage: Stage::Full,
             alias: AliasMode::TypeBased,
             jobs: Some(1),
             emit_metrics: None,
-            cache_dir: None,
-            no_cache: true,
+            cache_dir: Some(cache.clone()),
+            no_cache: false,
         };
         let err = execute_batch(&cmd, &[]).unwrap_err();
         assert!(err.contains("no .c files"), "{err}");
@@ -1742,24 +1634,12 @@ mod tests {
         let err = execute_batch(&cmd, &inputs).unwrap_err();
         assert!(err.contains("1 of 2 module(s) failed"), "{err}");
         assert!(err.contains("bad:"), "{err}");
-    }
-
-    #[test]
-    fn port_trace_appends_cache_counters_only_with_a_cache() {
-        let cache = tmp_dir("port-cache");
-        let cmd = parse_args(&args(&format!(
-            "port mp.c --report --trace --cache-dir {cache}"
-        )))
-        .unwrap();
-        let cold = execute(&cmd, MP, "mp").unwrap();
-        assert!(cold.contains("cache: 0 hit(s)"), "{cold}");
-        let warm = execute(&cmd, MP, "mp").unwrap();
+        // Only the module that ported has an entry; the failure is
+        // recomputed (and reported) on every run.
+        let entries = std::fs::read_dir(format!("{cache}/v{}", atomig_cache::FORMAT_VERSION))
+            .unwrap()
+            .count();
         std::fs::remove_dir_all(&cache).ok();
-        assert!(warm.contains("miss(es)"), "{warm}");
-        assert!(!warm.contains(" 0 hit(s)"), "warm run must hit: {warm}");
-        // Without --cache-dir the trace has no cache line at all.
-        let cmd = parse_args(&args("port mp.c --report --trace")).unwrap();
-        let out = execute(&cmd, MP, "mp").unwrap();
-        assert!(!out.contains("cache:"), "{out}");
+        assert_eq!(entries, 1);
     }
 }

@@ -91,14 +91,30 @@ pub struct AtomigConfig {
     /// parallelism; output is byte-identical for any value (the
     /// deterministic-merge contract in `atomig_par`).
     pub jobs: usize,
-    /// Content-addressed artifact store consulted before per-function
-    /// detection ([`crate::cache`]). `None` (the default) analyzes every
-    /// function from scratch; warm-cache output is byte-identical to cold
-    /// by construction, so sharing one store across runs is always safe.
-    pub cache: Option<std::sync::Arc<atomig_cache::CacheStore>>,
 }
 
 impl AtomigConfig {
+    /// Every knob that changes what the pipeline decides, serialized
+    /// canonically: stage, alias backend and exploration, inliner
+    /// settings, pointee buddies, barrier hints and the volatile
+    /// blacklist. `jobs` and `clock` are left out because they never
+    /// change a decision (the deterministic-merge contract), so two
+    /// configurations with equal seeds port a module identically.
+    pub fn config_seed(&self) -> String {
+        format!(
+            "stage={:?};alias={};exploration={};inline={};inline_opts={:?};\
+             pointee={};hints={};blacklist={:?}",
+            self.stage,
+            self.alias_mode.name(),
+            self.alias_exploration,
+            self.inline,
+            self.inline_options,
+            self.pointee_buddies,
+            self.compiler_barrier_hints,
+            self.volatile_blacklist,
+        )
+    }
+
     /// The identity configuration (Table 2 "Original").
     pub fn original() -> AtomigConfig {
         AtomigConfig {
@@ -112,7 +128,6 @@ impl AtomigConfig {
             volatile_blacklist: Vec::new(),
             clock: crate::trace::Clock::system(),
             jobs: atomig_par::available_parallelism(),
-            cache: None,
         }
     }
 
@@ -145,7 +160,6 @@ impl AtomigConfig {
             volatile_blacklist: Vec::new(),
             clock: crate::trace::Clock::system(),
             jobs: atomig_par::available_parallelism(),
-            cache: None,
         }
     }
 }
@@ -183,5 +197,20 @@ mod tests {
             assert_eq!(AliasMode::from_name(mode.name()), Some(mode));
         }
         assert_eq!(AliasMode::from_name("precise"), None);
+    }
+
+    #[test]
+    fn config_seed_tracks_decision_knobs_only() {
+        let base = AtomigConfig::full().config_seed();
+        assert_eq!(base, AtomigConfig::full().config_seed());
+        assert_ne!(base, AtomigConfig::spin().config_seed());
+        let mut pt = AtomigConfig::full();
+        pt.alias_mode = AliasMode::PointsTo;
+        assert_ne!(base, pt.config_seed());
+        // Jobs and clock never change a decision.
+        let mut other = AtomigConfig::full();
+        other.jobs = 17;
+        other.clock = crate::trace::Clock::from_fn(|| std::time::Duration::ZERO);
+        assert_eq!(base, other.config_seed());
     }
 }

@@ -54,7 +54,6 @@
 
 pub mod alias;
 pub mod annotations;
-pub mod cache;
 pub mod config;
 pub mod hints;
 pub mod json;

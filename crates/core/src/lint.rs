@@ -229,9 +229,6 @@ struct DryRun {
     seed_locs: Vec<MemLoc>,
     seed_seen: HashSet<MemLoc>,
     optimistic_locs: HashSet<MemLoc>,
-    /// Artifact-cache counters of the detection sweep, when a store was
-    /// configured.
-    cache: Option<crate::trace::CacheMetrics>,
 }
 
 impl DryRun {
@@ -262,12 +259,10 @@ fn dry_run(m: &Module, config: &AtomigConfig, am_pt: &AliasMap) -> DryRun {
     let mut optimistic_accesses: Vec<(FuncId, InstId)> = Vec::new();
 
     // Per-function detection on the worker pool, merged in `FuncId`
-    // order — same deterministic-merge contract as the pipeline itself,
-    // including the artifact cache consulted before each function.
+    // order — same deterministic-merge contract as the pipeline itself.
     let fids: Vec<FuncId> = m.func_ids().collect();
     let pipe = crate::Pipeline::new(config.clone());
-    let (dets, cache) = pipe.detect_all(m);
-    d.cache = cache;
+    let dets = pipe.detect_all(m);
 
     for (&fid, det) in fids.iter().zip(&dets) {
         for (mk, _) in &det.ann_marks {
@@ -530,7 +525,6 @@ pub fn lint_module(m: &Module, config: &AtomigConfig) -> LintReport {
         clock.now() - d0,
         d.sc.values().map(HashMap::len).sum(),
     );
-    report.metrics.cache = d.cache;
     let reach = ThreadReach::new(m);
     report.thread_roots = reach.roots.len();
 

@@ -94,7 +94,7 @@ pub struct Pipeline {
 /// Per-function detection results. Computed in parallel on the worker
 /// pool (plain owned data, no marks or ledger writes) and merged on the
 /// coordinating thread in `FuncId` order.
-#[derive(Debug, Default, Clone, PartialEq)]
+#[derive(Debug, Default)]
 pub(crate) struct FuncDetect {
     /// §3.2 annotation marks, paired with whether they came from a
     /// volatile access.
@@ -108,14 +108,14 @@ pub(crate) struct FuncDetect {
     pub(crate) opts: Vec<OptDetect>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct SpinDetect {
     pub(crate) controls: Vec<InstId>,
     pub(crate) control_locs: Vec<MemLoc>,
     pub(crate) header_span: u32,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug)]
 pub(crate) struct OptDetect {
     pub(crate) spin_index: usize,
     pub(crate) header_span: u32,
@@ -197,48 +197,10 @@ impl Pipeline {
     }
 
     /// Runs [`Pipeline::detect_func`] over every function on the worker
-    /// pool, consulting the configured artifact cache first. Results come
-    /// back in `FuncId` order; cache bookkeeping (puts for misses, the
-    /// counter snapshot) happens in the sequential merge, and the path
-    /// reads no clock at all, so hit and miss runs stay byte-identical
-    /// under a deterministic clock.
-    pub(crate) fn detect_all(
-        &self,
-        m: &Module,
-    ) -> (Vec<FuncDetect>, Option<crate::trace::CacheMetrics>) {
+    /// pool. Results come back in `FuncId` order.
+    pub(crate) fn detect_all(&self, m: &Module) -> Vec<FuncDetect> {
         let fids: Vec<FuncId> = m.func_ids().collect();
-        let pool = atomig_par::WorkerPool::new(self.config.jobs);
-        let Some(store) = &self.config.cache else {
-            return (pool.map(&fids, |_, &fid| self.detect_func(m, fid)), None);
-        };
-        let seed = crate::cache::full_seed(&self.config, m);
-        let results = pool.map(&fids, |_, &fid| {
-            let body = atomig_mir::printer::print_function(m, m.func(fid));
-            let key = crate::cache::func_fingerprint(&seed, &body);
-            let cached = store
-                .get(key)
-                .and_then(|payload| crate::cache::decode_detect(&payload, m.func(fid)));
-            match cached {
-                Some(det) => (det, None),
-                None => (self.detect_func(m, fid), Some(key)),
-            }
-        });
-        let mut metrics = crate::trace::CacheMetrics {
-            evictions: store.evictions(),
-            ..Default::default()
-        };
-        let mut dets = Vec::with_capacity(results.len());
-        for (det, miss_key) in results {
-            match miss_key {
-                None => metrics.hits += 1,
-                Some(key) => {
-                    store.put(key, &crate::cache::encode_detect(&det));
-                    metrics.misses += 1;
-                }
-            }
-            dets.push(det);
-        }
-        (dets, Some(metrics))
+        atomig_par::WorkerPool::new(self.config.jobs).map(&fids, |_, &fid| self.detect_func(m, fid))
     }
 
     /// Ports `m` in place and reports what happened.
@@ -313,8 +275,7 @@ impl Pipeline {
         // phase.
         let d0 = clock.now();
         let fids: Vec<FuncId> = m.func_ids().collect();
-        let (dets, cache_metrics) = self.detect_all(m);
-        report.metrics.cache = cache_metrics;
+        let dets = self.detect_all(m);
 
         for (&fid, det) in fids.iter().zip(&dets) {
             let mut add_seed =

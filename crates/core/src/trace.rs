@@ -157,16 +157,20 @@ pub struct CheckerMetrics {
     pub truncated: bool,
 }
 
-/// Artifact-cache counters for one pipeline (or lint) run, mirrored from
-/// the `atomig-cache` store consulted during per-function detection.
+/// Module-cache counters and costs of one `atomig batch` run: what the
+/// cache saved (hits) and what it cost (time and bytes of I/O).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheMetrics {
-    /// Functions whose detection artifact was served from the cache.
+    /// Modules whose entry was served from the cache.
     pub hits: usize,
-    /// Functions that were analyzed and stored.
+    /// Modules that were compiled, ported and stored.
     pub misses: usize,
     /// Stale-format entries evicted when the store was opened.
     pub evictions: usize,
+    /// Time spent hashing keys, reading entries and writing entries.
+    pub nanos: u128,
+    /// Entry bytes read plus entry bytes written.
+    pub bytes: usize,
 }
 
 /// Phase timings and counters of one pipeline (or lint, or check) run.
@@ -178,11 +182,6 @@ pub struct PipelineMetrics {
     pub solver: Option<SolverMetrics>,
     /// Checker counters, when a check ran.
     pub checker: Option<CheckerMetrics>,
-    /// Artifact-cache counters, when a cache store was configured.
-    /// Deliberately excluded from `Display`: reports must stay
-    /// byte-identical between cold and warm cache runs, so the counters
-    /// surface only through `--trace` and the JSONL sink.
-    pub cache: Option<CacheMetrics>,
 }
 
 impl PipelineMetrics {
@@ -577,13 +576,15 @@ pub fn checker_event(c: &CheckerMetrics) -> Value {
     ])
 }
 
-/// A `cache` event (artifact-cache counters of one run).
+/// A `cache` event (module-cache counters and costs of one batch run).
 pub fn cache_event(c: &CacheMetrics) -> Value {
     Value::obj(vec![
         ("event", "cache".into()),
         ("hits", c.hits.into()),
         ("misses", c.misses.into()),
         ("evictions", c.evictions.into()),
+        ("nanos", c.nanos.into()),
+        ("bytes", c.bytes.into()),
     ])
 }
 
@@ -684,19 +685,14 @@ pub struct MetricsTally {
     pub cache_hits: usize,
     /// Sum of all `cache.misses`.
     pub cache_misses: usize,
+    /// Sum of all `cache.nanos`.
+    pub cache_nanos: u128,
+    /// Sum of all `cache.bytes`.
+    pub cache_bytes: usize,
     /// Sum of all `phase.nanos`.
     pub total_phase_nanos: u128,
     /// Names of the phases seen, in order.
     pub phase_names: Vec<String>,
-}
-
-impl MetricsTally {
-    /// The summed nanoseconds of one named phase.
-    pub fn phase_nanos(&self, _name: &str) -> u128 {
-        // Per-phase sums are not tracked; use total_phase_nanos or parse
-        // the stream directly for finer queries.
-        self.total_phase_nanos
-    }
 }
 
 fn expect_num(v: &Value, key: &str, line: usize) -> Result<f64, String> {
@@ -764,12 +760,12 @@ pub fn validate_metrics_jsonl(text: &str) -> Result<MetricsTally, String> {
                 tally.checkers += 1;
             }
             "cache" => {
-                for k in ["hits", "misses", "evictions"] {
-                    expect_num(&v, k, line)?;
-                }
+                expect_num(&v, "evictions", line)?;
                 tally.caches += 1;
                 tally.cache_hits += expect_num(&v, "hits", line)? as usize;
                 tally.cache_misses += expect_num(&v, "misses", line)? as usize;
+                tally.cache_nanos += expect_num(&v, "nanos", line)? as u128;
+                tally.cache_bytes += expect_num(&v, "bytes", line)? as usize;
             }
             "decision" => {
                 expect_str(&v, "func", line)?;
@@ -896,6 +892,8 @@ mod tests {
             hits: 3,
             misses: 1,
             evictions: 0,
+            nanos: 4500,
+            bytes: 640,
         }));
         events.extend(ledger.decisions().iter().map(decision_event));
         events.push(summary_event(
@@ -909,6 +907,7 @@ mod tests {
         assert_eq!(tally.decisions, 1);
         assert_eq!(tally.caches, 1);
         assert_eq!((tally.cache_hits, tally.cache_misses), (3, 1));
+        assert_eq!((tally.cache_nanos, tally.cache_bytes), (4500, 640));
         assert_eq!(tally.total_phase_nanos, 2000);
         assert_eq!(tally.phase_names, vec!["spin-detect", "transform"]);
     }
@@ -929,6 +928,12 @@ mod tests {
         // Must open with meta.
         let bad = "{\"event\":\"summary\",\"total_nanos\":1}\n";
         assert!(validate_metrics_jsonl(bad).is_err());
+        // A cache event must carry its costs, not just its counters.
+        let bad = "{\"event\":\"meta\",\"command\":\"batch\",\"module\":\"d\"}\n\
+                   {\"event\":\"cache\",\"hits\":1,\"misses\":0,\"evictions\":0}\n\
+                   {\"event\":\"summary\",\"total_nanos\":1}\n";
+        let err = validate_metrics_jsonl(bad).unwrap_err();
+        assert!(err.contains("nanos"), "{err}");
     }
 
     #[test]
